@@ -4,11 +4,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sentinel_core::{FingerprintDataset, Identifier, IdentifierConfig, IdentifyMode};
+use sentinel_core::{
+    AssessKey, ClassifyScratch, FingerprintDataset, Identifier, IdentifierConfig, IdentifyMode,
+};
 use sentinel_devicesim::catalog;
 use sentinel_ml::crossval::stratified_k_fold;
 use sentinel_ml::metrics::ConfusionMatrix;
 use sentinel_ml::{parallel, ForestConfig};
+use sentinel_netproto::MacAddr;
 
 /// Label used for the pseudo-class recording "rejected by every
 /// classifier" predictions.
@@ -156,6 +159,11 @@ pub fn evaluate(config: &EvalConfig) -> EvalResult {
 }
 
 /// Runs the evaluation on an existing corpus.
+///
+/// Each test fold is identified in one batch. Probe `i` of the corpus
+/// is keyed `AssessKey::new(i, MacAddr::ZERO)`, so its identification
+/// depends only on the fold's trained model and the probe itself —
+/// never on fold order or worker count.
 pub fn evaluate_on(dataset: &FingerprintDataset, config: &EvalConfig) -> EvalResult {
     let mut labels: Vec<String> = dataset.type_names().to_vec();
     labels.push(UNKNOWN_LABEL.to_owned());
@@ -190,8 +198,17 @@ pub fn evaluate_on(dataset: &FingerprintDataset, config: &EvalConfig) -> EvalRes
             let train = dataset.subset(&fold.train);
             let identifier =
                 Identifier::train(&train, &config.identifier_config(*rep, nested_threads));
-            for &test_index in &fold.test {
-                let id = identifier.identify(dataset.full(test_index), dataset.fixed(test_index));
+            let items: Vec<_> = fold
+                .test
+                .iter()
+                .map(|&i| {
+                    let key = AssessKey::new(i as u64, MacAddr::ZERO);
+                    (dataset.full(i), dataset.fixed(i), key)
+                })
+                .collect();
+            let mut ids = Vec::with_capacity(items.len());
+            identifier.identify_keyed_batch_into(&items, &mut ClassifyScratch::default(), &mut ids);
+            for (&test_index, id) in fold.test.iter().zip(&ids) {
                 let predicted = id.label().unwrap_or(unknown);
                 confusion.record(dataset.label(test_index), predicted);
                 total += 1;

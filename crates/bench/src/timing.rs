@@ -5,12 +5,13 @@
 use std::time::{Duration, Instant};
 
 use sentinel_core::{
-    BankConfig, ClassifierBank, ClassifyScratch, FingerprintDataset, Identifier, IdentifierConfig,
+    AssessKey, BankConfig, ClassifierBank, ClassifyScratch, FingerprintDataset, Identifier,
+    IdentifierConfig,
 };
 use sentinel_devicesim::{catalog, Testbed};
 use sentinel_fingerprint::editdist::normalized_distance;
 use sentinel_fingerprint::{extract, extract_frames, FixedFingerprint};
-use sentinel_ml::{Dataset, RandomForest};
+use sentinel_ml::{Dataset, PackedForest, RandomForest};
 use sentinel_sdn::stats::Summary;
 
 /// Timing measurements mirroring the rows of Table IV.
@@ -33,11 +34,13 @@ pub struct TimingReport {
     pub mean_edit_distances: f64,
     /// Fraction of identifications requiring discrimination.
     pub discrimination_rate: f64,
-    /// All 27 classifications of a 64-fingerprint batch, one
-    /// [`Identifier::classify`] call per item (fingerprint-major).
+    /// All 27 classifications of a 64-fingerprint batch, one single-item
+    /// [`Identifier::classify_batch_in`] call per item
+    /// (fingerprint-major).
     pub batch_classify_sequential: Summary,
-    /// The same batch through [`Identifier::classify_batch`]
-    /// (forest-major) — identical results, cache-friendlier walk.
+    /// The same batch in one [`Identifier::classify_batch_in`] call
+    /// over a fresh scratch (forest-major) — identical results,
+    /// cache-friendlier walk.
     pub batch_classify_batched: Summary,
     /// The same batch through [`Identifier::classify_batch_in`] with a
     /// warm [`ClassifyScratch`] — the streaming runtime's steady-state
@@ -138,7 +141,8 @@ pub fn measure_training(
 /// a train/holdout split of fresh testbed campaigns. `threads` is the
 /// worker count for training and stage-2 scoring (`0` = auto via
 /// `SENTINEL_THREADS`, `1` = sequential); the measured identifications
-/// themselves are timed one at a time either way.
+/// themselves are timed one at a time either way, holdout run `r` under
+/// the key `AssessKey::new(r, device MAC)`.
 pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> TimingReport {
     let devices = catalog();
     let dataset = FingerprintDataset::collect(&devices, train_runs, seed);
@@ -149,6 +153,9 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
     config.bank.threads = threads;
     config.bank.forest.threads = threads;
     let identifier = Identifier::train(&dataset, &config);
+    // The first type's packed arena, for the one-classification row.
+    let first_forest = PackedForest::from_forest(identifier.bank().classifier(0));
+    let mut scratch = ClassifyScratch::default();
     let holdout = Testbed::new(seed ^ 0xdead_beef);
 
     let mut one_classification = Vec::new();
@@ -170,7 +177,8 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
         let trace = holdout.setup_run(&devices[0].profile, u64::MAX - 1);
         let full = extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&full);
-        let _ = identifier.identify(&full, &fixed);
+        let _ = identifier.classify_batch_in(&[&fixed], &mut scratch);
+        let _ = identifier.identify_keyed(&full, &fixed, AssessKey::new(u64::MAX, trace.mac));
     }
 
     for run in 0..iterations {
@@ -198,12 +206,12 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
         // Row: one classification (a single per-type forest, via the
         // identifier's packed arena — the path identification takes).
         let start = Instant::now();
-        let _ = identifier.accepts(0, &fixed);
+        std::hint::black_box(first_forest.accepts(fixed.as_slice()));
         one_classification.push(start.elapsed());
 
         // Row: all 27 classifications.
         let start = Instant::now();
-        let candidates = identifier.classify(&fixed);
+        std::hint::black_box(identifier.classify_batch_in(&[&fixed], &mut scratch));
         all_classifications.push(start.elapsed());
 
         // Row: one edit-distance discrimination.
@@ -214,7 +222,7 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
 
         // Rows: discrimination step + full identification.
         let start = Instant::now();
-        let id = identifier.identify(&full, &fixed);
+        let id = identifier.identify_keyed(&full, &fixed, AssessKey::new(run, trace.mac));
         let elapsed = start.elapsed();
         type_identification.push(elapsed);
         total += 1;
@@ -229,7 +237,6 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
                 .unwrap_or(Duration::ZERO);
             discrimination_step.push(elapsed.saturating_sub(classify));
         }
-        let _ = candidates;
         if batch_probes.len() < 64 {
             batch_probes.push(fixed.clone());
         }
@@ -246,14 +253,18 @@ pub fn measure(train_runs: u64, iterations: u64, seed: u64, threads: usize) -> T
         const BATCH_REPEATS: usize = 24;
         // Warmed once off the clock, then reused every repeat — the
         // per-shard scratch a streaming gateway keeps across ticks.
-        let mut scratch = ClassifyScratch::default();
         let _ = identifier.classify_batch_in(&refs, &mut scratch);
         for _ in 0..BATCH_REPEATS {
             let start = Instant::now();
-            let sequential: Vec<Vec<usize>> = refs.iter().map(|f| identifier.classify(f)).collect();
+            let sequential: Vec<Vec<usize>> = refs
+                .iter()
+                .map(|&f| identifier.classify_batch_in(&[f], &mut scratch)[0].clone())
+                .collect();
             batch_classify_sequential.push(start.elapsed());
             let start = Instant::now();
-            let batched = identifier.classify_batch(&refs);
+            let batched = identifier
+                .classify_batch_in(&refs, &mut ClassifyScratch::default())
+                .to_vec();
             batch_classify_batched.push(start.elapsed());
             assert_eq!(sequential, batched, "batched classification diverged");
             let start = Instant::now();

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use sentinel_fingerprint::FixedFingerprint;
 use sentinel_ml::parallel;
@@ -12,7 +11,7 @@ use sentinel_ml::{BinnedDataset, Dataset, ForestConfig, RandomForest};
 use crate::FingerprintDataset;
 
 /// Training parameters for a [`ClassifierBank`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BankConfig {
     /// Negative-to-positive sampling ratio for one-vs-rest training (the
     /// paper trains each classifier on all `n` positives plus `10·n`
@@ -47,7 +46,7 @@ impl Default for BankConfig {
 /// touching existing classifiers — the property the paper highlights
 /// over multi-class approaches ("a new classifier is trained without
 /// making any modification to the existing classifiers").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassifierBank {
     classifiers: Vec<RandomForest>,
     type_names: Vec<String>,

@@ -266,7 +266,12 @@ mod tests {
     }
 
     impl SecurityService for StubService {
-        fn assess(&self, _full: &Fingerprint, _fixed: &FixedFingerprint) -> ServiceResponse {
+        fn assess_keyed(
+            &self,
+            _full: &Fingerprint,
+            _fixed: &FixedFingerprint,
+            _key: AssessKey,
+        ) -> ServiceResponse {
             ServiceResponse {
                 identification: Identification {
                     outcome: Outcome::Identified {

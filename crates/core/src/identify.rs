@@ -6,15 +6,17 @@
 //! each candidate type with normalized Damerau–Levenshtein distance,
 //! sum per type into a dissimilarity score `s_i ∈ [0, 5]`, and pick the
 //! minimum.
+//!
+//! Every identification is keyed by an [`AssessKey`]: the reference
+//! sampling and tie-breaks of stage 2 draw from a generator built from
+//! `(model seed, key)`, so an answer never depends on how many came
+//! before it or on which thread computes it.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use sentinel_fingerprint::editdist::{
     osa_distance_bounded, osa_distance_wavefront_with, WavefrontScratch,
@@ -22,28 +24,24 @@ use sentinel_fingerprint::editdist::{
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint, InternedFingerprint, SymbolTable};
 use sentinel_ml::parallel;
 use sentinel_ml::pinned::PinnedRng;
-use sentinel_ml::sampling::sample_without_replacement;
 use sentinel_ml::{BatchMatrix, PackedForest};
 use sentinel_netproto::MacAddr;
 
 use crate::report::{Identification, Outcome};
 use crate::{BankConfig, ClassifierBank, FingerprintDataset};
 
-/// The deterministic key of one assessment in a packet stream: the
-/// stream sequence number of the packet that completed the device's
-/// setup phase, plus the device MAC.
+/// The deterministic key of one assessment. In a packet stream it is
+/// the stream sequence number of the packet that completed the device's
+/// setup phase, plus the device MAC; offline callers (evaluation
+/// harnesses, single-capture tools) document their own choice.
 ///
-/// Keyed identification ([`Identifier::identify_keyed`]) derives its
-/// entire discrimination randomness — reference sampling and tie-breaks
-/// — from `(seed, key)` through the v2 pinned RNG contract
-/// ([`sentinel_ml::pinned`]). The answer is therefore a pure function of
-/// the trained model, the fingerprints and this key: two completions
-/// assess identically no matter which shard, thread or order serves
-/// them, which is what lets a streaming runtime score stage 2 inside
-/// its parallel region. The v1 shared-`StdRng` stream (still behind the
-/// unkeyed [`Identifier::identify`], for evaluation harnesses) is
-/// order-dependent and superseded by this contract on every onboarding
-/// path.
+/// Identification derives its entire discrimination randomness —
+/// reference sampling and tie-breaks — from `(seed, key)` through the
+/// pinned RNG contract ([`sentinel_ml::pinned`]). The answer is
+/// therefore a pure function of the trained model, the fingerprints and
+/// this key: two completions assess identically no matter which shard,
+/// thread or order serves them, which is what lets a streaming runtime
+/// score stage 2 inside its parallel region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AssessKey {
     /// Stream sequence of the completing packet (unique per stream).
@@ -72,44 +70,9 @@ impl AssessKey {
     }
 }
 
-/// Where discrimination draws its randomness from.
-///
-/// `Shared` is the v1 contract: one seeded `StdRng` per identifier,
-/// advanced on every identification, so each answer depends on how many
-/// came before it. `Keyed` is the v2 contract: a [`PinnedRng`] built
-/// per assessment from an [`AssessKey`], so answers are
-/// order-independent. Both draw the same *shape* (one reference
-/// permutation per candidate, at most one tie-break index), only the
-/// streams differ.
-enum Draw<'a> {
-    Shared(&'a Mutex<StdRng>),
-    Keyed(PinnedRng),
-}
-
-impl Draw<'_> {
-    /// Draws `k` references without replacement from `pool`.
-    fn sample(&mut self, pool: &[usize], k: usize) -> Vec<usize> {
-        match self {
-            Draw::Shared(rng) => sample_without_replacement(pool, k, &mut *rng.lock()),
-            Draw::Keyed(rng) => rng.sample_k(pool, k),
-        }
-    }
-
-    /// Draws a tie-break index in `0..n`.
-    fn index(&mut self, n: usize) -> usize {
-        match self {
-            Draw::Shared(rng) => {
-                use rand::Rng;
-                rng.lock().gen_range(0..n)
-            }
-            Draw::Keyed(rng) => rng.index(n),
-        }
-    }
-}
-
 /// Which pipeline variant to run — the ablation axis of
 /// `fig5_accuracy --mode`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IdentifyMode {
     /// The paper's pipeline: classifier bank, then edit-distance
     /// discrimination of multiple matches.
@@ -123,7 +86,7 @@ pub enum IdentifyMode {
 }
 
 /// Configuration of an [`Identifier`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdentifierConfig {
     /// Classifier-bank training parameters.
     pub bank: BankConfig,
@@ -132,7 +95,9 @@ pub struct IdentifierConfig {
     pub references_per_type: usize,
     /// Pipeline variant.
     pub mode: IdentifyMode,
-    /// Seed for reference sampling.
+    /// Model seed of the discrimination draws: each identification's
+    /// reference sampling and tie-breaks come from a [`PinnedRng`]
+    /// keyed by `(seed, AssessKey)`.
     pub seed: u64,
     /// Rejection cutoff on the winner's *mean* normalized dissimilarity:
     /// if even the best-scoring candidate is farther than this from its
@@ -162,7 +127,8 @@ impl Default for IdentifierConfig {
     }
 }
 
-/// Reusable scratch for the batched identification paths.
+/// Reusable scratch for [`Identifier::identify_keyed_batch_into`] and
+/// [`Identifier::classify_batch_in`].
 ///
 /// Holds the [`BatchMatrix`] batch scratch, the per-forest
 /// acceptance buffer, the per-item candidate pool and the stage-2
@@ -252,7 +218,9 @@ impl VerdictCache {
     fn new(stamp: u64) -> Self {
         VerdictCache {
             stamp,
-            shards: (0..VERDICT_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..VERDICT_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
             hits: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
         }
@@ -260,10 +228,7 @@ impl VerdictCache {
 
     /// The shard/bucket routing hash of one `F'` bit pattern.
     fn row_hash(&self, bits: &[u64]) -> u64 {
-        sentinel_ml::hash::keyed_hash_words(
-            VERDICT_DOMAIN ^ self.stamp,
-            bits.iter().copied(),
-        )
+        sentinel_ml::hash::keyed_hash_words(VERDICT_DOMAIN ^ self.stamp, bits.iter().copied())
     }
 
     /// Copies the cached candidate labels of `bits` into `out` if an
@@ -292,10 +257,13 @@ impl VerdictCache {
     fn insert(&self, hash: u64, row: &[f64], labels: &[usize]) {
         let mut shard = self.shards[(hash % VERDICT_SHARDS as u64) as usize].lock();
         let chain = shard.entry(hash).or_default();
-        if chain
-            .iter()
-            .any(|entry| entry.bits.iter().copied().eq(row.iter().map(|v| v.to_bits())))
-        {
+        if chain.iter().any(|entry| {
+            entry
+                .bits
+                .iter()
+                .copied()
+                .eq(row.iter().map(|v| v.to_bits()))
+        }) {
             return;
         }
         chain.push(CachedVerdict {
@@ -328,15 +296,14 @@ pub struct Identifier {
     /// training time so the OSA inner loop compares integers.
     interned: Vec<Vec<InternedFingerprint>>,
     /// `0..references[label].len()` per label — the sampling pool handed
-    /// to [`sample_without_replacement`], prebuilt so discrimination does
-    /// not allocate it on every identification.
+    /// to [`PinnedRng::sample_k`], prebuilt so discrimination does not
+    /// allocate it on every identification.
     pools: Vec<Vec<usize>>,
     config: IdentifierConfig,
     /// [`IdentifierConfig::threads`] resolved once at assembly —
     /// `effective_threads` consults the environment and the scheduler,
     /// which is far too slow for the per-identification hot path.
     threads: usize,
-    rng: Mutex<StdRng>,
     /// Content-addressed stage-1 verdict cache — `None` (the default)
     /// leaves every batch path exactly on the uncached kernel. Enabled
     /// explicitly via [`Identifier::enable_verdict_cache`] by callers
@@ -346,10 +313,10 @@ pub struct Identifier {
     verdict_cache: Option<VerdictCache>,
 }
 
-/// The serializable snapshot of a trained [`Identifier`] — what an
-/// IoTSSP ships to (or restores from) persistent storage so gateways do
-/// not retrain on every boot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The persistable parts of a trained [`Identifier`] — what an IoTSSP
+/// ships to (or restores from) a binary snapshot (`sentinel-snapshot`)
+/// so gateways do not retrain on every boot.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainedModel {
     bank: ClassifierBank,
     references: Vec<Vec<Fingerprint>>,
@@ -451,7 +418,6 @@ impl Identifier {
             .iter()
             .map(|of_type| (0..of_type.len()).collect())
             .collect();
-        let rng = Mutex::new(StdRng::seed_from_u64(config.seed));
         let threads = parallel::effective_threads(config.threads);
         Identifier {
             bank,
@@ -462,7 +428,6 @@ impl Identifier {
             pools,
             threads,
             config,
-            rng,
             verdict_cache: None,
         }
     }
@@ -548,211 +513,84 @@ impl Identifier {
         label
     }
 
-    /// Serializes the trained pipeline as JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or serialization error from `serde_json`.
-    pub fn to_json_writer<W: std::io::Write>(&self, writer: W) -> Result<(), serde_json::Error> {
-        serde_json::to_writer(writer, &TrainedModel::from(self))
-    }
-
-    /// Restores a pipeline serialized with [`Identifier::to_json_writer`].
-    /// The discrimination RNG restarts from the config seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or deserialization error from `serde_json`.
-    pub fn from_json_reader<R: std::io::Read>(reader: R) -> Result<Self, serde_json::Error> {
-        let model: TrainedModel = serde_json::from_reader(reader)?;
-        Ok(model.into())
-    }
-
     /// Device-type names, indexed by label.
     pub fn type_names(&self) -> &[String] {
         self.bank.type_names()
     }
 
-    /// Identifies a device from its fingerprints, drawing from the
-    /// shared (order-dependent, v1) discrimination stream. Kept for
-    /// evaluation harnesses and direct service queries; every streaming
-    /// onboarding path goes through [`Identifier::identify_keyed`]
-    /// instead.
-    pub fn identify(&self, full: &Fingerprint, fixed: &FixedFingerprint) -> Identification {
-        self.identify_with(full, fixed, Draw::Shared(&self.rng))
-    }
-
-    /// Identifies a device with the v2 pinned per-completion draw: the
-    /// answer is a pure function of the trained model, the fingerprints
-    /// and `key`, so calls may run concurrently and in any order with
-    /// bit-identical results (see [`AssessKey`]).
+    /// Identifies one device: a one-item call into
+    /// [`Identifier::identify_keyed_batch_into`]. The answer is a pure
+    /// function of the trained model, the fingerprints and `key`, so
+    /// calls may run concurrently and in any order with bit-identical
+    /// results (see [`AssessKey`]).
     pub fn identify_keyed(
         &self,
         full: &Fingerprint,
         fixed: &FixedFingerprint,
         key: AssessKey,
     ) -> Identification {
-        self.identify_with(full, fixed, Draw::Keyed(key.rng(self.config.seed)))
+        let mut out = Vec::with_capacity(1);
+        self.identify_keyed_batch_into(
+            &[(full, fixed, key)],
+            &mut ClassifyScratch::default(),
+            &mut out,
+        );
+        out.pop().expect("one identification per item")
     }
 
-    /// The mode dispatch shared by both draw contracts.
-    fn identify_with(
-        &self,
-        full: &Fingerprint,
-        fixed: &FixedFingerprint,
-        mut draw: Draw,
-    ) -> Identification {
-        let mut wavefront = WavefrontScratch::default();
-        match self.config.mode {
-            IdentifyMode::TwoStage => {
-                self.discriminate_with(full, self.classify(fixed), &mut draw, &mut wavefront)
-            }
-            IdentifyMode::RfOnly => self.rf_best(fixed, self.classify(fixed)),
-            IdentifyMode::EditOnly => {
-                let all: Vec<usize> = (0..self.bank.n_types()).collect();
-                let scores = self.dissimilarity_scores(full, &all, &mut draw, &mut wavefront);
-                self.pick_minimum(all, scores, false, &mut draw)
-            }
-        }
-    }
-
-    /// Identifies a whole batch of devices, returning one
-    /// [`Identification`] per item in order — bit-identical to calling
-    /// [`Identifier::identify`] on each item in sequence.
+    /// Identifies a whole batch of keyed completions, **appending** one
+    /// [`Identification`] per item to `out` (the shared batch-entry
+    /// contract — the caller owns and clears `out`). This is the one
+    /// mode dispatch of the pipeline.
     ///
-    /// Stage 1 is RNG-free, so it runs batched through
-    /// [`Identifier::classify_batch`] (forest-major, cache-friendly);
-    /// stage 2 consumes the discrimination RNG and therefore runs
-    /// strictly sequentially in item order, exactly as the
-    /// per-item path would.
-    pub fn identify_batch(
-        &self,
-        items: &[(&Fingerprint, &FixedFingerprint)],
-    ) -> Vec<Identification> {
-        match self.config.mode {
-            IdentifyMode::TwoStage | IdentifyMode::RfOnly => {
-                let mut scratch = ClassifyScratch::default();
-                let n = self.classify_into(items.iter().map(|&(_, f)| f.as_slice()), &mut scratch);
-                debug_assert_eq!(n, items.len());
-                items
-                    .iter()
-                    .enumerate()
-                    .map(|(index, &(full, fixed))| {
-                        let candidates = scratch.candidates[index].clone();
-                        match self.config.mode {
-                            IdentifyMode::TwoStage => {
-                                let mut draw = Draw::Shared(&self.rng);
-                                self.discriminate_with(
-                                    full,
-                                    candidates,
-                                    &mut draw,
-                                    &mut scratch.wavefront,
-                                )
-                            }
-                            _ => self.rf_best(fixed, candidates),
-                        }
-                    })
-                    .collect()
-            }
-            // Edit-only has no stage 1 to batch.
-            IdentifyMode::EditOnly => items
-                .iter()
-                .map(|&(full, fixed)| self.identify(full, fixed))
-                .collect(),
-        }
-    }
-
-    /// Identifies a whole batch of keyed completions — bit-identical to
-    /// calling [`Identifier::identify_keyed`] on each item, in any
-    /// order. Stage 1 runs batched (forest-major over the packed
-    /// arenas); stage 2 builds each item's pinned generator from its
-    /// [`AssessKey`], so unlike [`Identifier::identify_batch`] nothing
-    /// here depends on item order — which is what lets a sharded
-    /// streaming runtime call this concurrently on per-shard slices of
-    /// one tick's completions.
-    pub fn identify_keyed_batch(
-        &self,
-        items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
-    ) -> Vec<Identification> {
-        let mut scratch = ClassifyScratch::default();
-        let mut out = Vec::with_capacity(items.len());
-        self.identify_keyed_batch_into(items, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`Identifier::identify_keyed_batch`] into caller-owned buffers:
-    /// identifications are **appended** to `out` (the shared batch-entry
-    /// contract — the caller owns and clears `out`), and all stage-1 and
-    /// stage-2 working memory comes from `scratch`, so a caller that
-    /// keeps both warm across ticks (the streaming runtime's shards)
-    /// rebuilds nothing per tick.
+    /// Stage 1 runs batched over the packed arenas; stage 2 builds each
+    /// item's pinned generator from its [`AssessKey`], so no answer
+    /// depends on item order or batch boundaries — which is what lets a
+    /// sharded streaming runtime call this concurrently on per-shard
+    /// slices of one tick's completions. All stage-1 and stage-2
+    /// working memory comes from `scratch`, so a caller that keeps both
+    /// warm across ticks (the streaming runtime's shards) rebuilds
+    /// nothing per tick.
     pub fn identify_keyed_batch_into(
         &self,
         items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
         scratch: &mut ClassifyScratch,
         out: &mut Vec<Identification>,
     ) {
-        match self.config.mode {
-            IdentifyMode::TwoStage | IdentifyMode::RfOnly => {
-                let n = self.classify_into(items.iter().map(|&(_, f, _)| f.as_slice()), scratch);
-                debug_assert_eq!(n, items.len());
-                for (index, &(full, fixed, key)) in items.iter().enumerate() {
-                    let candidates = scratch.candidates[index].clone();
-                    let identification = match self.config.mode {
-                        IdentifyMode::TwoStage => {
-                            let mut draw = Draw::Keyed(key.rng(self.config.seed));
-                            self.discriminate_with(
-                                full,
-                                candidates,
-                                &mut draw,
-                                &mut scratch.wavefront,
-                            )
-                        }
-                        _ => self.rf_best(fixed, candidates),
-                    };
-                    out.push(identification);
-                }
+        if self.config.mode == IdentifyMode::EditOnly {
+            // No stage 1: every type is a candidate.
+            for &(full, _, key) in items {
+                let mut rng = key.rng(self.config.seed);
+                let all: Vec<usize> = (0..self.bank.n_types()).collect();
+                let scores =
+                    self.dissimilarity_scores(full, &all, &mut rng, &mut scratch.wavefront);
+                out.push(self.pick_minimum(all, scores, false, &mut rng));
             }
-            // Edit-only has no stage 1 to batch.
-            IdentifyMode::EditOnly => out.extend(
-                items
-                    .iter()
-                    .map(|&(full, fixed, key)| self.identify_keyed(full, fixed, key)),
-            ),
+            return;
+        }
+        let n = self.classify_into(items.iter().map(|&(_, f, _)| f.as_slice()), scratch);
+        debug_assert_eq!(n, items.len());
+        for (index, &(full, fixed, key)) in items.iter().enumerate() {
+            let candidates = scratch.candidates[index].clone();
+            out.push(match self.config.mode {
+                IdentifyMode::RfOnly => self.rf_best(fixed, candidates),
+                _ => self.discriminate_with(
+                    full,
+                    candidates,
+                    &mut key.rng(self.config.seed),
+                    &mut scratch.wavefront,
+                ),
+            });
         }
     }
 
-    /// Stage-1 classification: labels of every per-type classifier that
-    /// accepts the fingerprint, via the packed prediction arenas
-    /// (identical to [`ClassifierBank::matches`], faster).
-    pub fn classify(&self, fixed: &FixedFingerprint) -> Vec<usize> {
-        self.packed
-            .iter()
-            .enumerate()
-            .filter(|(_, forest)| forest.accepts(fixed.as_slice()))
-            .map(|(label, _)| label)
-            .collect()
-    }
-
-    /// Stage-1 classification of a whole batch: per-item candidate label
-    /// sets, identical to calling [`Identifier::classify`] on each item.
-    ///
-    /// The loop order is inverted relative to the per-item path —
-    /// *forests outermost, fingerprints innermost* — so each packed
-    /// arena is walked by every fingerprint back-to-back while it is
-    /// cache-resident, instead of all 27 arenas being cycled through per
-    /// fingerprint. Labels are visited in increasing order, so each
-    /// item's candidate vector is pushed in exactly the per-item order.
-    pub fn classify_batch(&self, fixed: &[&FixedFingerprint]) -> Vec<Vec<usize>> {
-        let mut scratch = ClassifyScratch::default();
-        self.classify_batch_in(fixed, &mut scratch).to_vec()
-    }
-
-    /// [`Identifier::classify_batch`] into caller-owned scratch: the
-    /// batch is transposed into the scratch's [`BatchMatrix`] and walked
-    /// by the row-blocked kernel; the returned slice borrows the
-    /// scratch's candidate pool (one entry per item, in order). With a
-    /// warm scratch this makes zero heap allocations.
+    /// Stage-1 classification of a whole batch: item `i`'s candidate
+    /// labels (every per-type classifier that accepts its `F'`, in
+    /// increasing label order). The batch is copied into the scratch's
+    /// [`BatchMatrix`] and each packed arena walks every row while it
+    /// is cache-resident; the returned slice borrows the scratch's
+    /// candidate pool (one entry per item, in order). With a warm
+    /// scratch this makes zero heap allocations.
     pub fn classify_batch_in<'s>(
         &self,
         fixed: &[&FixedFingerprint],
@@ -800,8 +638,8 @@ impl Identifier {
     /// row produced (entries compare full bit patterns, and both paths
     /// emit labels in increasing order), in-batch duplicates are
     /// classified once and copied, and only genuinely new rows walk the
-    /// forests — packed into a dense miss matrix so the row-blocked
-    /// kernels keep their batch advantage.
+    /// forests — packed into a dense miss matrix so the forest-major
+    /// walk keeps its batch advantage.
     fn classify_into_cached<'a, I>(
         &self,
         cache: &VerdictCache,
@@ -901,19 +739,13 @@ impl Identifier {
         n
     }
 
-    /// Whether type `label`'s classifier accepts the fingerprint, via
-    /// the packed arena (identical to [`ClassifierBank::accepts`]).
-    pub fn accepts(&self, label: usize, fixed: &FixedFingerprint) -> bool {
-        self.packed[label].accepts(fixed.as_slice())
-    }
-
     /// Stage 2 of the two-stage pipeline, given the stage-1 candidate
-    /// set (from [`Identifier::classify`] or a batched run).
+    /// set.
     fn discriminate_with(
         &self,
         full: &Fingerprint,
         candidates: Vec<usize>,
-        draw: &mut Draw,
+        rng: &mut PinnedRng,
         wavefront: &mut WavefrontScratch,
     ) -> Identification {
         match candidates.len() {
@@ -928,12 +760,12 @@ impl Identifier {
             // shares nothing with the type's references, and the score
             // is what exposes that (see `max_dissimilarity`).
             1 => {
-                let scores = self.dissimilarity_scores(full, &candidates, draw, wavefront);
-                self.pick_minimum(candidates, scores, false, draw)
+                let scores = self.dissimilarity_scores(full, &candidates, rng, wavefront);
+                self.pick_minimum(candidates, scores, false, rng)
             }
             _ => {
-                let scores = self.dissimilarity_scores(full, &candidates, draw, wavefront);
-                self.pick_minimum(candidates, scores, true, draw)
+                let scores = self.dissimilarity_scores(full, &candidates, rng, wavefront);
+                self.pick_minimum(candidates, scores, true, rng)
             }
         }
     }
@@ -985,14 +817,14 @@ impl Identifier {
         &self,
         full: &Fingerprint,
         candidates: &[usize],
-        draw: &mut Draw,
+        rng: &mut PinnedRng,
         wavefront: &mut WavefrontScratch,
     ) -> Vec<f64> {
         // Reference sampling stays sequential, in candidate order, so
         // the draw stream is identical for every thread count.
         let chosen: Vec<Vec<usize>> = candidates
             .iter()
-            .map(|&label| draw.sample(&self.pools[label], self.config.references_per_type))
+            .map(|&label| rng.sample_k(&self.pools[label], self.config.references_per_type))
             .collect();
         let probe = self.symbols.project(full);
         let threads = self.threads.min(candidates.len());
@@ -1104,7 +936,7 @@ impl Identifier {
         candidates: Vec<usize>,
         scores: Vec<f64>,
         discriminated: bool,
-        draw: &mut Draw,
+        rng: &mut PinnedRng,
     ) -> Identification {
         let minimum = scores.iter().copied().fold(f64::INFINITY, f64::min);
         // Identical-firmware types can produce exactly tied dissimilarity
@@ -1119,7 +951,7 @@ impl Identifier {
         let best = if tied.len() == 1 {
             tied[0]
         } else {
-            tied[draw.index(tied.len())]
+            tied[rng.index(tied.len())]
         };
         // Even the best candidate must actually resemble its own
         // references: a winner whose mean normalized distance exceeds
@@ -1175,6 +1007,11 @@ mod tests {
         (identifier, dataset)
     }
 
+    /// The key of the `i`-th probe of a test.
+    fn key(i: usize) -> AssessKey {
+        AssessKey::new(i as u64, MacAddr::ZERO)
+    }
+
     #[test]
     fn identifies_held_out_runs_of_known_types() {
         let (identifier, _) = train_on_three();
@@ -1187,7 +1024,7 @@ mod tests {
                 let trace = testbed.setup_run(&device.profile, run);
                 let full = extract(&trace.packets);
                 let fixed = FixedFingerprint::from_fingerprint(&full);
-                let id = identifier.identify(&full, &fixed);
+                let id = identifier.identify_keyed(&full, &fixed, AssessKey::new(run, trace.mac));
                 total += 1;
                 if id.label() == Some(label) {
                     correct += 1;
@@ -1229,7 +1066,7 @@ mod tests {
         let trace = Testbed::new(1).setup_run(&odd, 0);
         let full = extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&full);
-        let id = identifier.identify(&full, &fixed);
+        let id = identifier.identify_keyed(&full, &fixed, key(0));
         assert_eq!(id.outcome, Outcome::Unknown, "got {id:?}");
     }
 
@@ -1241,32 +1078,22 @@ mod tests {
         let trace = Testbed::new(77).setup_run(&devices[1].profile, 0);
         let full = extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&full);
-        let id = identifier.identify(&full, &fixed);
+        let id = identifier.identify_keyed(&full, &fixed, key(0));
         assert_eq!(id.label(), Some(1));
         assert_eq!(id.candidates.len(), 3, "edit-only scores every type");
     }
 
     #[test]
-    fn model_json_roundtrip_preserves_behaviour() {
+    fn trained_model_roundtrip_preserves_behaviour() {
         let (identifier, dataset) = train_on_three();
-        let mut buf = Vec::new();
-        identifier.to_json_writer(&mut buf).unwrap();
-        let restored = Identifier::from_json_reader(buf.as_slice()).unwrap();
-        // Identical predictions on the training corpus (RNG restarts from
-        // the same seed, so even tie-breaks agree).
+        let restored = Identifier::from(TrainedModel::from(&identifier));
         for i in 0..dataset.len() {
-            let a = identifier_fresh_identify(&identifier, &dataset, i);
-            let b = identifier_fresh_identify(&restored, &dataset, i);
-            assert_eq!(a.candidates, b.candidates, "sample {i}");
+            assert_eq!(
+                identifier.identify_keyed(dataset.full(i), dataset.fixed(i), key(i)),
+                restored.identify_keyed(dataset.full(i), dataset.fixed(i), key(i)),
+                "sample {i}"
+            );
         }
-    }
-
-    fn identifier_fresh_identify(
-        identifier: &Identifier,
-        dataset: &FingerprintDataset,
-        i: usize,
-    ) -> Identification {
-        identifier.identify(dataset.full(i), dataset.fixed(i))
     }
 
     /// Collects (full, fixed) probe pairs: held-out runs of the three
@@ -1291,25 +1118,40 @@ mod tests {
     }
 
     #[test]
-    fn batched_identification_is_bit_identical_to_sequential() {
-        // Two identically-trained identifiers (each with its own fresh
-        // discrimination RNG): one identifies per item in order, the
-        // other in one batch. Every Identification — outcome, candidate
-        // set, and stage-2 scores — must agree bit-for-bit.
-        for mode in [IdentifyMode::TwoStage, IdentifyMode::RfOnly] {
-            let devices: Vec<_> = catalog().into_iter().take(3).collect();
-            let dataset = FingerprintDataset::collect(&devices, 8, 5);
-            let sequential = Identifier::train(&dataset, &fast_config(mode));
-            let batched = Identifier::train(&dataset, &fast_config(mode));
-            let probes = probe_pairs(&dataset);
-            let items: Vec<(&Fingerprint, &FixedFingerprint)> =
-                probes.iter().map(|(full, fixed)| (full, fixed)).collect();
-            let one_by_one: Vec<Identification> = items
+    fn keyed_batch_matches_per_item_in_every_mode() {
+        // In every mode, each Identification — outcome, candidate set
+        // and stage-2 scores — is a pure function of its item: per-item
+        // calls, a batch split in two and the reversed batch through one
+        // reused scratch all agree bit for bit.
+        let devices: Vec<_> = catalog().into_iter().take(3).collect();
+        let dataset = FingerprintDataset::collect(&devices, 8, 5);
+        let probes = probe_pairs(&dataset);
+        let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = probes
+            .iter()
+            .enumerate()
+            .map(|(i, (full, fixed))| (full, fixed, key(i)))
+            .collect();
+        for mode in [
+            IdentifyMode::TwoStage,
+            IdentifyMode::RfOnly,
+            IdentifyMode::EditOnly,
+        ] {
+            let identifier = Identifier::train(&dataset, &fast_config(mode));
+            let per_item: Vec<Identification> = items
                 .iter()
-                .map(|&(full, fixed)| sequential.identify(full, fixed))
+                .map(|&(full, fixed, key)| identifier.identify_keyed(full, fixed, key))
                 .collect();
-            let in_batch = batched.identify_batch(&items);
-            assert_eq!(one_by_one, in_batch, "mode {mode:?}");
+            let mut scratch = ClassifyScratch::default();
+            let mut split = Vec::new();
+            let (head, tail) = items.split_at(items.len() / 3);
+            identifier.identify_keyed_batch_into(head, &mut scratch, &mut split);
+            identifier.identify_keyed_batch_into(tail, &mut scratch, &mut split);
+            assert_eq!(per_item, split, "mode {mode:?}, split batch");
+            let reversed: Vec<_> = items.iter().rev().copied().collect();
+            let mut backwards = Vec::new();
+            identifier.identify_keyed_batch_into(&reversed, &mut scratch, &mut backwards);
+            backwards.reverse();
+            assert_eq!(per_item, backwards, "mode {mode:?}, reversed batch");
         }
     }
 
@@ -1340,35 +1182,34 @@ mod tests {
         assert_eq!(incremental.references[label], full.references[label]);
         // The packed arena for the new type makes the same stage-1
         // decisions on every training fingerprint.
-        for i in 0..four.len() {
-            assert_eq!(
-                incremental.accepts(label, four.fixed(i)),
-                full.accepts(label, four.fixed(i)),
-                "sample {i}"
-            );
-        }
+        let fixed: Vec<&FixedFingerprint> = (0..four.len()).map(|i| four.fixed(i)).collect();
+        let mut scratch = ClassifyScratch::default();
+        let grown: Vec<bool> = incremental
+            .classify_batch_in(&fixed, &mut scratch)
+            .iter()
+            .map(|candidates| candidates.contains(&label))
+            .collect();
+        let retrained: Vec<bool> = full
+            .classify_batch_in(&fixed, &mut scratch)
+            .iter()
+            .map(|candidates| candidates.contains(&label))
+            .collect();
+        assert_eq!(grown, retrained);
         // And held-out runs of the new device actually identify as it.
         let testbed = Testbed::new(55);
         let trace = testbed.setup_run(&devices[3].profile, 0);
         let probe = extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&probe);
-        assert_eq!(incremental.identify(&probe, &fixed).label(), Some(3));
-    }
-
-    #[test]
-    fn classify_batch_matches_classify_per_item() {
-        let (identifier, dataset) = train_on_three();
-        let fixed: Vec<&FixedFingerprint> = (0..dataset.len()).map(|i| dataset.fixed(i)).collect();
-        let batch = identifier.classify_batch(&fixed);
-        for (i, candidates) in batch.iter().enumerate() {
-            assert_eq!(candidates, &identifier.classify(fixed[i]), "item {i}");
-        }
+        assert_eq!(
+            incremental.identify_keyed(&probe, &fixed, key(0)).label(),
+            Some(3)
+        );
     }
 
     #[test]
     fn scores_are_bounded_by_reference_count() {
         let (identifier, dataset) = train_on_three();
-        let id = identifier.identify(dataset.full(0), dataset.fixed(0));
+        let id = identifier.identify_keyed(dataset.full(0), dataset.fixed(0), key(0));
         for score in &id.scores {
             assert!((0.0..=5.0).contains(score));
         }

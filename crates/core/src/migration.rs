@@ -16,6 +16,7 @@ use sentinel_fingerprint::{extract, FixedFingerprint};
 use sentinel_netproto::{MacAddr, Packet};
 use sentinel_sdn::{EnforcementModule, EnforcementRule, IsolationLevel};
 
+use crate::identify::AssessKey;
 use crate::report::{Identification, ServiceResponse};
 use crate::SecurityService;
 
@@ -101,6 +102,10 @@ pub struct MigrationRecord {
 /// (untrusted overlay + their usual cloud endpoints) without gaining new
 /// reach, a conservative rendering of the paper's "continues to operate
 /// in the untrusted network".
+///
+/// Device `i` of `devices` is assessed under the key
+/// `AssessKey::new(i, mac)`, so a record depends only on the device and
+/// its place in the list.
 pub fn migrate<S: SecurityService>(
     service: &S,
     policy: PskPolicy,
@@ -109,7 +114,11 @@ pub fn migrate<S: SecurityService>(
 ) -> Vec<MigrationRecord> {
     devices
         .iter()
-        .map(|device| migrate_one(service, policy, device, module))
+        .enumerate()
+        .map(|(index, device)| {
+            let key = AssessKey::new(index as u64, device.mac);
+            migrate_one(service, policy, device, key, module)
+        })
         .collect()
 }
 
@@ -117,11 +126,12 @@ fn migrate_one<S: SecurityService>(
     service: &S,
     policy: PskPolicy,
     device: &LegacyDevice,
+    key: AssessKey,
     module: &mut EnforcementModule,
 ) -> MigrationRecord {
     let full = extract(&device.packets);
     let fixed = FixedFingerprint::from_fingerprint(&full);
-    let response: ServiceResponse = service.assess(&full, &fixed);
+    let response: ServiceResponse = service.assess_keyed(&full, &fixed, key);
     let (outcome, rule) = match response.isolation {
         IsolationLevel::Trusted => match (device.rekey, policy) {
             (RekeySupport::Wps, _) => (
@@ -200,7 +210,12 @@ mod tests {
     }
 
     impl SecurityService for Scripted {
-        fn assess(&self, _f: &Fingerprint, _x: &FixedFingerprint) -> ServiceResponse {
+        fn assess_keyed(
+            &self,
+            _f: &Fingerprint,
+            _x: &FixedFingerprint,
+            _key: AssessKey,
+        ) -> ServiceResponse {
             ServiceResponse {
                 identification: Identification {
                     outcome: Outcome::Identified {

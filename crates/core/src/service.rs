@@ -6,8 +6,6 @@
 //! whitelist for restricted devices). It stores nothing about its
 //! clients.
 
-use serde::{Deserialize, Serialize};
-
 use sentinel_fingerprint::{Fingerprint, FixedFingerprint};
 
 use crate::identify::{AssessKey, ClassifyScratch};
@@ -34,73 +32,30 @@ pub struct AssessScratch {
 ///
 /// The paper's gateways reach the IoTSSP over the network (optionally
 /// via Tor); in-process implementations stand in for that RPC.
+///
+/// Every assessment is keyed by an [`AssessKey`]: the response must be
+/// a pure function of `(trained state, fingerprints, key)` —
+/// independent of call order, interleaving, or which thread serves it.
+/// This is what lets a sharded streaming runtime assess completions
+/// concurrently and still produce bit-identical output at every thread
+/// count.
 pub trait SecurityService {
-    /// Identifies a fingerprint and returns the enforcement decision.
-    fn assess(&self, full: &Fingerprint, fixed: &FixedFingerprint) -> ServiceResponse;
-
-    /// Assesses a whole batch of fingerprints, returning one response
-    /// per item in order.
-    ///
-    /// Must be observably equivalent to calling
-    /// [`SecurityService::assess`] on each item in sequence — the
-    /// default implementation does exactly that. Implementations may
-    /// override it to batch the RNG-free parts of the pipeline (the
-    /// reference IoTSSP pushes all stage-1 classifications through one
-    /// forest at a time); any stateful part must still run in item
-    /// order.
-    fn assess_batch(&self, items: &[(&Fingerprint, &FixedFingerprint)]) -> Vec<ServiceResponse> {
-        items
-            .iter()
-            .map(|&(full, fixed)| self.assess(full, fixed))
-            .collect()
-    }
-
-    /// Assesses one fingerprint under the v2 pinned RNG contract: every
-    /// random decision is drawn from a generator keyed by `key`, so the
-    /// response is a pure function of `(trained state, fingerprints,
-    /// key)` — independent of call order, interleaving, or which thread
-    /// serves it. This is what lets a sharded streaming runtime assess
-    /// completions concurrently and still produce bit-identical output
-    /// at every thread count.
-    ///
-    /// The default delegates to [`SecurityService::assess`], which is
-    /// only correct for services whose `assess` is already a pure
-    /// function of its arguments (stateless stubs). Services with
-    /// order-dependent internal state (like the reference IoTSSP's
-    /// shared v1 discrimination RNG) must override this with a genuinely
-    /// keyed path.
+    /// Identifies one fingerprint and returns the enforcement decision.
     fn assess_keyed(
         &self,
         full: &Fingerprint,
         fixed: &FixedFingerprint,
         key: AssessKey,
-    ) -> ServiceResponse {
-        let _ = key;
-        self.assess(full, fixed)
-    }
+    ) -> ServiceResponse;
 
-    /// Keyed batch assessment: one response per item, each observably
-    /// equivalent to [`SecurityService::assess_keyed`] with that item's
-    /// key. Because every item carries its own key, the batch boundary
-    /// carries no information — splitting a batch across shards must not
-    /// change any response.
-    fn assess_keyed_batch(
-        &self,
-        items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
-    ) -> Vec<ServiceResponse> {
-        items
-            .iter()
-            .map(|&(full, fixed, key)| self.assess_keyed(full, fixed, key))
-            .collect()
-    }
-
-    /// [`SecurityService::assess_keyed_batch`] into caller-owned
-    /// buffers: responses are **appended** to `out` (the shared
-    /// batch-entry contract — the caller owns and clears `out`), and
-    /// implementations draw all per-batch working memory from `scratch`.
-    /// Must produce exactly the responses of
-    /// [`SecurityService::assess_keyed_batch`]; the default delegates
-    /// per item and ignores the scratch.
+    /// Keyed batch assessment: **appends** one response per item to
+    /// `out` (the shared batch-entry contract — the caller owns and
+    /// clears `out`), each exactly [`SecurityService::assess_keyed`]
+    /// with that item's key. Because every item carries its own key,
+    /// the batch boundary carries no information — splitting a batch
+    /// across shards must not change any response. Implementations draw
+    /// all per-batch working memory from `scratch`; the default
+    /// delegates per item and ignores it.
     fn assess_keyed_batch_into(
         &self,
         items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
@@ -119,14 +74,6 @@ pub trait SecurityService {
 /// One trained service can back several gateways (or a gateway and a
 /// streaming runtime) at once by handing each a shared reference.
 impl<S: SecurityService + ?Sized> SecurityService for &S {
-    fn assess(&self, full: &Fingerprint, fixed: &FixedFingerprint) -> ServiceResponse {
-        (**self).assess(full, fixed)
-    }
-
-    fn assess_batch(&self, items: &[(&Fingerprint, &FixedFingerprint)]) -> Vec<ServiceResponse> {
-        (**self).assess_batch(items)
-    }
-
     fn assess_keyed(
         &self,
         full: &Fingerprint,
@@ -134,13 +81,6 @@ impl<S: SecurityService + ?Sized> SecurityService for &S {
         key: AssessKey,
     ) -> ServiceResponse {
         (**self).assess_keyed(full, fixed, key)
-    }
-
-    fn assess_keyed_batch(
-        &self,
-        items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
-    ) -> Vec<ServiceResponse> {
-        (**self).assess_keyed_batch(items)
     }
 
     fn assess_keyed_batch_into(
@@ -154,7 +94,7 @@ impl<S: SecurityService + ?Sized> SecurityService for &S {
 }
 
 /// Configuration of an [`IoTSecurityService`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceConfig {
     /// Identification-pipeline parameters.
     pub identifier: IdentifierConfig,
@@ -175,9 +115,8 @@ impl IoTSecurityService {
         Self::train_with_vulndb(dataset, config, StaticVulnDb::with_known_iot_advisories())
     }
 
-    /// Wraps an already-trained identifier (e.g. restored with
-    /// [`crate::Identifier::from_json_reader`]) with the built-in
-    /// advisory database.
+    /// Wraps an already-trained identifier (e.g. one rebuilt from a
+    /// [`crate::TrainedModel`]) with the built-in advisory database.
     pub fn from_identifier(identifier: crate::Identifier) -> Self {
         Self::from_parts(identifier, StaticVulnDb::with_known_iot_advisories())
     }
@@ -262,26 +201,6 @@ impl IoTSecurityService {
 }
 
 impl SecurityService for IoTSecurityService {
-    fn assess(&self, full: &Fingerprint, fixed: &FixedFingerprint) -> ServiceResponse {
-        self.respond(self.identifier.identify(full, fixed))
-    }
-
-    /// Batched assessment: stage-1 classification runs forest-major over
-    /// the whole batch ([`Identifier::identify_batch`]); discrimination
-    /// and the vulnerability lookups stay in item order, so the
-    /// responses are bit-identical to per-item [`Self::assess`] calls.
-    fn assess_batch(&self, items: &[(&Fingerprint, &FixedFingerprint)]) -> Vec<ServiceResponse> {
-        self.identifier
-            .identify_batch(items)
-            .into_iter()
-            .map(|identification| self.respond(identification))
-            .collect()
-    }
-
-    /// Keyed assessment under the v2 pinned RNG contract
-    /// ([`Identifier::identify_keyed`]): the shared v1 discrimination
-    /// RNG is bypassed entirely, so concurrent callers neither contend
-    /// on it nor perturb each other's draws.
     fn assess_keyed(
         &self,
         full: &Fingerprint,
@@ -291,24 +210,12 @@ impl SecurityService for IoTSecurityService {
         self.respond(self.identifier.identify_keyed(full, fixed, key))
     }
 
-    /// Keyed batched assessment: stage-1 runs forest-major over the
-    /// whole batch, stage-2 draws from each item's own keyed generator —
+    /// The scratch-backed batch: stage 1 walks each packed arena over
+    /// the scratch's batch matrix, stage 2 draws from each item's own
+    /// keyed generator through the scratch's wavefront band buffers —
+    /// zero per-tick allocations once the scratch is warm, responses
     /// bit-identical to per-item [`Self::assess_keyed`] calls at any
     /// batch split.
-    fn assess_keyed_batch(
-        &self,
-        items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
-    ) -> Vec<ServiceResponse> {
-        let mut scratch = AssessScratch::default();
-        let mut out = Vec::with_capacity(items.len());
-        self.assess_keyed_batch_into(items, &mut scratch, &mut out);
-        out
-    }
-
-    /// The scratch-backed keyed batch: stage 1 goes through the
-    /// row-blocked kernel over the scratch's batch matrix,
-    /// stage 2 through its wavefront band buffers — zero per-tick
-    /// allocations once the scratch is warm, bit-identical responses.
     fn assess_keyed_batch_into(
         &self,
         items: &[(&Fingerprint, &FixedFingerprint, AssessKey)],
@@ -337,7 +244,14 @@ mod tests {
     use sentinel_devicesim::{catalog, Testbed};
     use sentinel_fingerprint::extract;
     use sentinel_ml::ForestConfig;
+    use sentinel_netproto::MacAddr;
     use sentinel_sdn::IsolationLevel;
+
+    /// The key of the single-probe tests.
+    const KEY: AssessKey = AssessKey {
+        seq: 0,
+        mac: MacAddr::ZERO,
+    };
 
     fn fast_service(n_devices: usize) -> IoTSecurityService {
         let devices: Vec<_> = catalog().into_iter().take(n_devices).collect();
@@ -367,7 +281,7 @@ mod tests {
         // Device 0 (Aria) has no advisisories in the seed database.
         let service = fast_service(3);
         let (full, fixed) = fingerprints_of(0, 0);
-        let response = service.assess(&full, &fixed);
+        let response = service.assess_keyed(&full, &fixed, KEY);
         assert_eq!(response.isolation, IsolationLevel::Trusted);
         assert!(response.permitted_endpoints.is_empty());
     }
@@ -389,28 +303,34 @@ mod tests {
         let trace = Testbed::new(2).setup_run(&odd, 0);
         let full = extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&full);
-        let response = service.assess(&full, &fixed);
+        let response = service.assess_keyed(&full, &fixed, KEY);
         assert_eq!(response.identification.outcome, Outcome::Unknown);
         assert_eq!(response.isolation, IsolationLevel::Strict);
     }
 
     #[test]
-    fn assess_batch_is_bit_identical_to_sequential_assess() {
-        // Two identically-trained services (fresh discrimination RNGs):
-        // responses from one batched call must equal per-item calls in
-        // order, including isolation decisions and whitelists.
-        let sequential = fast_service(3);
-        let batched = fast_service(3);
+    fn keyed_batch_is_bit_identical_to_per_item_assess() {
+        // Responses from split batches through one reused scratch must
+        // equal per-item calls, including isolation decisions and
+        // whitelists.
+        let service = fast_service(3);
         let probes: Vec<(Fingerprint, FixedFingerprint)> = (0..3)
             .flat_map(|device| (0..3).map(move |run| fingerprints_of(device, run)))
             .collect();
-        let items: Vec<(&Fingerprint, &FixedFingerprint)> =
-            probes.iter().map(|(full, fixed)| (full, fixed)).collect();
+        let items: Vec<(&Fingerprint, &FixedFingerprint, AssessKey)> = probes
+            .iter()
+            .enumerate()
+            .map(|(i, (full, fixed))| (full, fixed, AssessKey::new(i as u64, MacAddr::ZERO)))
+            .collect();
         let one_by_one: Vec<ServiceResponse> = items
             .iter()
-            .map(|&(full, fixed)| sequential.assess(full, fixed))
+            .map(|&(full, fixed, key)| service.assess_keyed(full, fixed, key))
             .collect();
-        assert_eq!(one_by_one, batched.assess_batch(&items));
+        let mut scratch = AssessScratch::default();
+        let mut batched = Vec::new();
+        service.assess_keyed_batch_into(&items[..4], &mut scratch, &mut batched);
+        service.assess_keyed_batch_into(&items[4..], &mut scratch, &mut batched);
+        assert_eq!(one_by_one, batched);
     }
 
     #[test]
@@ -430,7 +350,10 @@ mod tests {
         let mut service = IoTSecurityService::train(&three, &config);
         let (full, fixed) = fingerprints_of(3, 0);
         assert_eq!(
-            service.assess(&full, &fixed).identification.outcome,
+            service
+                .assess_keyed(&full, &fixed, KEY)
+                .identification
+                .outcome,
             Outcome::Unknown,
             "the fourth device must be unknown before onboarding"
         );
@@ -440,7 +363,10 @@ mod tests {
         // classifier is bit-identical to a full retrain's (the extended
         // service shares the full retrain's state for the new label).
         assert_eq!(
-            service.assess(&full, &fixed).identification.label(),
+            service
+                .assess_keyed(&full, &fixed, KEY)
+                .identification
+                .label(),
             Some(3)
         );
         let retrained = IoTSecurityService::train(&four, &config);
@@ -455,7 +381,7 @@ mod tests {
         // Train on 9 devices so EdimaxCam (index 8) is known.
         let service = fast_service(9);
         let (full, fixed) = fingerprints_of(8, 1);
-        let response = service.assess(&full, &fixed);
+        let response = service.assess_keyed(&full, &fixed, KEY);
         assert_eq!(
             response.identification.label(),
             Some(8),

@@ -3,7 +3,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::binning::BinnedDataset;
 use crate::parallel;
@@ -13,7 +12,7 @@ use crate::tree::{argmax, FitArena};
 use crate::{Dataset, DecisionTree, TreeConfig};
 
 /// How many candidate features each split considers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureSubsample {
     /// `⌈√d⌉` random features per split (the Random Forest default).
     Sqrt,
@@ -34,7 +33,7 @@ impl FeatureSubsample {
 }
 
 /// Training parameters for a [`RandomForest`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForestConfig {
     /// Number of trees.
     pub n_trees: usize,
@@ -112,7 +111,7 @@ enum FitMode<'a> {
 }
 
 /// A trained Random Forest classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     n_classes: usize,

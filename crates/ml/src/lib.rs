@@ -15,11 +15,11 @@
 //! * [`metrics`] — accuracy, confusion matrices, precision/recall.
 //! * [`packed`] — a contiguous, lockstep-walked prediction arena over a
 //!   fitted forest (identical results, hot-path speed).
-//! * [`kernel`] — row-blocked data-parallel batch kernels over the
-//!   packed arenas, fed by a reusable contiguous [`BatchMatrix`].
+//! * [`kernel`] — [`BatchMatrix`], the reusable contiguous batch the
+//!   packed arenas walk row by row.
 //! * [`parallel`] — deterministic fork/join helpers (ordered merges,
 //!   `SENTINEL_THREADS` thread-count resolution).
-//! * [`sampling`] — bootstrap and without-replacement sampling.
+//! * [`sampling`] — bootstrap and class-balanced negative sampling.
 //! * [`pinned`] — the v2 pinned RNG contract: keyed, order-independent
 //!   draws for decisions that must not depend on scheduling.
 //!

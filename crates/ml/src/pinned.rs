@@ -1,8 +1,8 @@
 //! The v2 pinned RNG contract: cheap, keyed, order-independent draws.
 //!
-//! The v1 contract (a shared seeded `StdRng` advanced once per use site)
-//! makes every consumer's stream depend on *how many* draws happened
-//! before it — good enough for batch training, fatal for a sharded
+//! The earlier v1 contract (a shared seeded `StdRng` advanced once per
+//! use site) made every consumer's stream depend on *how many* draws
+//! happened before it — good enough for batch training, fatal for a sharded
 //! streaming runtime whose assessments must not care which worker (or in
 //! which order) serves them. [`PinnedRng`] replaces that with a generator
 //! constructed *per decision* from a key: the stream is a pure function

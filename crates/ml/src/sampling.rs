@@ -1,5 +1,4 @@
-//! Sampling utilities: bootstrap, without-replacement and class-balanced
-//! negative sampling.
+//! Sampling utilities: bootstrap and class-balanced negative sampling.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -19,29 +18,24 @@ pub fn bootstrap_indices_into(n: usize, rng: &mut impl Rng, out: &mut Vec<usize>
     out.extend((0..n).map(|_| rng.gen_range(0..n)));
 }
 
-/// Draws `k` distinct elements from `pool` without replacement (all of
-/// `pool`, shuffled, if `k >= pool.len()`).
-pub fn sample_without_replacement<T: Copy>(pool: &[T], k: usize, rng: &mut impl Rng) -> Vec<T> {
-    let mut items = pool.to_vec();
-    items.shuffle(rng);
-    items.truncate(k.min(pool.len()));
-    items
-}
-
 /// Selects the training indices for a one-vs-rest classifier with the
 /// paper's class-imbalance mitigation: all `positives` plus
 /// `ratio × positives.len()` randomly chosen `negatives` (Sect. IV-B.1,
 /// evaluated with ratio 10 in Sect. VI-B).
 ///
-/// Returns `(indices, labels)` aligned pairwise: label 1 for positives,
-/// 0 for the sampled negatives.
+/// The negatives are drawn without replacement (all of them, shuffled,
+/// when fewer than the ratio asks for). Returns `(indices, labels)`
+/// aligned pairwise: label 1 for positives, 0 for the sampled
+/// negatives.
 pub fn balanced_one_vs_rest(
     positives: &[usize],
     negatives: &[usize],
     ratio: usize,
     rng: &mut impl Rng,
 ) -> (Vec<usize>, Vec<usize>) {
-    let sampled = sample_without_replacement(negatives, positives.len() * ratio, rng);
+    let mut sampled = negatives.to_vec();
+    sampled.shuffle(rng);
+    sampled.truncate(positives.len() * ratio);
     let mut indices = Vec::with_capacity(positives.len() + sampled.len());
     let mut labels = Vec::with_capacity(indices.capacity());
     indices.extend_from_slice(positives);
@@ -80,22 +74,6 @@ mod tests {
         // every tree's sample back to back.
         bootstrap_indices_into(50, &mut rng(), &mut reused);
         assert_eq!(reused.len(), 100);
-    }
-
-    #[test]
-    fn without_replacement_is_distinct() {
-        let pool: Vec<usize> = (0..100).collect();
-        let sample = sample_without_replacement(&pool, 30, &mut rng());
-        assert_eq!(sample.len(), 30);
-        let distinct: std::collections::HashSet<_> = sample.iter().collect();
-        assert_eq!(distinct.len(), 30);
-    }
-
-    #[test]
-    fn without_replacement_caps_at_pool() {
-        let pool = [1, 2, 3];
-        let sample = sample_without_replacement(&pool, 10, &mut rng());
-        assert_eq!(sample.len(), 3);
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! CART decision trees with Gini impurity.
 
-use serde::{Deserialize, Serialize};
-
 use crate::binning::{BinnedDataset, HistScratch};
 use crate::pinned::PinnedRng;
 use crate::Dataset;
 
 /// Training parameters for a [`DecisionTree`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeConfig {
     /// Maximum tree depth (root = depth 0).
     pub max_depth: usize,
@@ -46,7 +44,7 @@ pub(crate) const LEAF: u32 = u32::MAX;
 /// layout disappears. Forest prediction is the hot path of the
 /// 27-classifier identification stage, which is why the layout is
 /// tuned this aggressively.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     /// Per-node split feature; [`LEAF`] (`u32::MAX`) marks a leaf.
     features: Vec<u32>,

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 
 use sentinel_ml::crossval::stratified_k_fold;
 use sentinel_ml::metrics::{accuracy, ConfusionMatrix};
-use sentinel_ml::sampling::{balanced_one_vs_rest, bootstrap_indices, sample_without_replacement};
+use sentinel_ml::sampling::{balanced_one_vs_rest, bootstrap_indices};
 use sentinel_ml::{Dataset, ForestConfig, RandomForest};
 
 fn labels_strategy() -> impl Strategy<Value = Vec<usize>> {
@@ -67,16 +67,6 @@ proptest! {
     }
 
     #[test]
-    fn sampling_without_replacement_is_a_subset(pool_size in 1usize..100, k in 0usize..120, seed in any::<u64>()) {
-        let pool: Vec<usize> = (0..pool_size).collect();
-        let sample = sample_without_replacement(&pool, k, &mut StdRng::seed_from_u64(seed));
-        prop_assert_eq!(sample.len(), k.min(pool_size));
-        let distinct: std::collections::HashSet<_> = sample.iter().collect();
-        prop_assert_eq!(distinct.len(), sample.len(), "duplicates in sample");
-        prop_assert!(sample.iter().all(|i| pool.contains(i)));
-    }
-
-    #[test]
     fn one_vs_rest_labels_align(pos in 1usize..20, neg in 1usize..200, ratio in 1usize..12, seed in any::<u64>()) {
         let positives: Vec<usize> = (0..pos).collect();
         let negatives: Vec<usize> = (pos..pos + neg).collect();
@@ -91,6 +81,8 @@ proptest! {
         for (&i, &l) in indices.iter().zip(&labels) {
             prop_assert_eq!(l == 1, i < pos);
         }
+        let distinct: std::collections::HashSet<_> = indices.iter().collect();
+        prop_assert_eq!(distinct.len(), indices.len(), "negatives drawn without replacement");
     }
 
     #[test]

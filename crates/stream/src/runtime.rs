@@ -23,7 +23,7 @@
 //! Shards do not stop at fingerprinting: each shard *assesses* its own
 //! completions inside the parallel pass — batched stage-1
 //! classification over the packed arenas plus stage-2 edit-distance
-//! discrimination — through [`SecurityService::assess_keyed_batch`].
+//! discrimination — through [`SecurityService::assess_keyed_batch_into`].
 //! That is sound because keyed assessment is a pure function of
 //! `(trained model, fingerprints, key)` under the v2 pinned RNG
 //! contract ([`sentinel_core::AssessKey`]): every random draw comes
@@ -386,7 +386,10 @@ pub fn apply_onboarding(
         }
         IsolationLevel::Restricted => {
             stats.restricted += 1;
-            EnforcementRule::restricted(completion.mac, response.permitted_endpoints.iter().copied())
+            EnforcementRule::restricted(
+                completion.mac,
+                response.permitted_endpoints.iter().copied(),
+            )
         }
         IsolationLevel::Trusted => {
             stats.trusted += 1;
@@ -583,7 +586,9 @@ impl<S: SecurityService + Sync> StreamRuntime<S> {
         let start = out.len();
         let mut resident = 0usize;
         for (s, shard) in self.shards.iter_mut().enumerate() {
-            let outcome = shard.get_mut().process_frames(&self.buckets[s], frames, &self.config);
+            let outcome = shard
+                .get_mut()
+                .process_frames(&self.buckets[s], frames, &self.config);
             self.stats.packets_in += outcome.packets;
             self.stats.sessions_opened += outcome.opened;
             self.stats.sessions_evicted += outcome.evicted;
@@ -834,7 +839,12 @@ mod tests {
     }
 
     impl SecurityService for StubService {
-        fn assess(&self, full: &Fingerprint, _fixed: &FixedFingerprint) -> ServiceResponse {
+        fn assess_keyed(
+            &self,
+            full: &Fingerprint,
+            _fixed: &FixedFingerprint,
+            _key: AssessKey,
+        ) -> ServiceResponse {
             ServiceResponse {
                 identification: Identification {
                     outcome: Outcome::Identified {

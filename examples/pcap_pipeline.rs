@@ -48,7 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Identify against a service trained on the whole catalog.
     let dataset = FingerprintDataset::collect(&devices, 20, 42);
     let identifier = Identifier::train(&dataset, &IdentifierConfig::default());
-    let id = identifier.identify(&full, &fixed);
+    // Keyed like a gateway window closed by the capture's last packet.
+    let key = AssessKey::new(packets.len() as u64 - 1, trace.mac);
+    let id = identifier.identify_keyed(&full, &fixed, key);
     println!("identification from pcap: {id}");
 
     std::fs::remove_file(&path)?;

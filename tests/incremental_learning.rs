@@ -96,7 +96,12 @@ fn truly_novel_traffic_is_flagged_unknown() {
         let trace = testbed.setup_run(&plc, run);
         let full = extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&full);
-        if identifier.identify(&full, &fixed).label().is_none() {
+        let key = AssessKey::new(run, trace.mac);
+        if identifier
+            .identify_keyed(&full, &fixed, key)
+            .label()
+            .is_none()
+        {
             unknown += 1;
         }
     }

@@ -81,7 +81,8 @@ fn standby_identification_matches_device_types() {
         let trace = testbed.standby_run(&devices[index].profile, 5, 3);
         let full = iot_sentinel::fingerprint::extract(&trace.packets);
         let fixed = FixedFingerprint::from_fingerprint(&full);
-        let response = service.assess(&full, &fixed);
+        let key = AssessKey::new(index as u64, trace.mac);
+        let response = service.assess_keyed(&full, &fixed, key);
         if response.identification.label() == Some(index) {
             correct += 1;
         }

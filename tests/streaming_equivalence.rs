@@ -17,9 +17,9 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use iot_sentinel::core::{
-    AssessKey, BankConfig, FingerprintDataset, Identifier, IdentifierConfig, IoTSecurityService,
-    OnboardingReport, SecurityGateway, SecurityService, ServiceConfig, ServiceResponse,
-    TrainedModel,
+    AssessKey, AssessScratch, BankConfig, FingerprintDataset, Identifier, IdentifierConfig,
+    IoTSecurityService, OnboardingReport, SecurityGateway, SecurityService, ServiceConfig,
+    ServiceResponse, TrainedModel,
 };
 use iot_sentinel::devicesim::{catalog, interleave, SetupTrace, Testbed};
 use iot_sentinel::fingerprint::{extract, Fingerprint, FixedFingerprint};
@@ -53,10 +53,10 @@ fn trained_model(train_runs: u64) -> TrainedModel {
 }
 
 /// Reassembles the snapshot into an independent service instance. Under
-/// the v2 keyed contract the streaming/gateway paths never touch the
-/// shared v1 discrimination RNG, so two instances of the same model are
-/// interchangeable — the separate instances here just mirror the
-/// deployment shape (one IoTSSP per site).
+/// the keyed contract a service carries no discrimination state, so two
+/// instances of the same model are interchangeable — the separate
+/// instances here just mirror the deployment shape (one IoTSSP per
+/// site).
 fn fresh_service(model: &TrainedModel) -> IoTSecurityService {
     IoTSecurityService::from_identifier(Identifier::from(model.clone()))
 }
@@ -256,12 +256,11 @@ fn streaming_identifies_and_isolates_like_the_paper() {
 #[test]
 fn one_stateful_service_is_bit_identical_across_threads_and_paths() {
     // The strongest form of the v2 contract: ONE service instance —
-    // carrying its (now bypassed) v1 RNG state and serving every run in
-    // sequence — must produce bit-identical reports AND stats at thread
-    // counts 1/2/4/8 and over both the decoded-packet and raw-frame
-    // ingest paths. Under the v1 contract this was impossible: each
-    // assessment advanced the shared RNG, so merely *running twice*
-    // changed the answers.
+    // serving every run in sequence — must produce bit-identical
+    // reports AND stats at thread counts 1/2/4/8 and over both the
+    // decoded-packet and raw-frame ingest paths. Under the earlier v1
+    // contract this was impossible: each assessment advanced a shared
+    // RNG, so merely *running twice* changed the answers.
     let model = trained_model(8);
     let service = fresh_service(&model);
     let traces = concurrent_traces(24);
@@ -307,21 +306,15 @@ fn one_stateful_service_is_bit_identical_across_threads_and_paths() {
     }
 }
 
-/// Forces the per-item scalar path: implements only the itemwise
-/// assessment methods, so the trait's *default* batch implementations
-/// loop item by item — stage 1 through the scalar lockstep tree walk
-/// (`PackedForest::accepts`), never the row-blocked kernel over the
-/// contiguous batch matrix. Running a full stream through this
-/// wrapper and through the direct service (whose batch overrides route
-/// everything through the data-parallel kernels) pins
-/// kernels-on == kernels-off end to end.
+/// A service that implements only [`SecurityService::assess_keyed`], so
+/// the trait's per-item default `assess_keyed_batch_into` answers every
+/// batch one item at a time. Streaming through it and through
+/// [`IoTSecurityService`] itself, whose batch override classifies whole
+/// batches over the packed arenas with one shared scratch, pins the
+/// default and the override to the same bytes end to end.
 struct ScalarPathService<'a>(&'a IoTSecurityService);
 
 impl SecurityService for ScalarPathService<'_> {
-    fn assess(&self, full: &Fingerprint, fixed: &FixedFingerprint) -> ServiceResponse {
-        self.0.assess(full, fixed)
-    }
-
     fn assess_keyed(
         &self,
         full: &Fingerprint,
@@ -334,63 +327,44 @@ impl SecurityService for ScalarPathService<'_> {
 
 #[test]
 fn kernel_batched_runtime_matches_per_item_scalar_path() {
-    // The whole-stack kernel differential: the same interleaved stream,
-    // once through the batched kernels (row-blocked stage 1 in-shard)
-    // and once through the per-item scalar walks, must yield byte-equal
-    // reports and stats — at thread counts 1/2/4/8 and over both the
-    // decoded-packet and raw-frame ingest paths.
-    let model = trained_model(8);
-    let service = fresh_service(&model);
-    let traces = concurrent_traces(24);
-    let stream = interleave(&traces, Duration::from_millis(9));
-
-    let mut baseline: Option<Vec<OnboardingReport>> = None;
-    for threads in [1usize, 2, 4, 8] {
+    // The same interleaved stream through the batch override and the
+    // per-item default must yield byte-equal reports and stats, at
+    // thread counts 1/2/4/8 and over both the decoded-packet and
+    // raw-frame ingest paths.
+    let service = fresh_service(&trained_model(8));
+    let stream = interleave(&concurrent_traces(24), Duration::from_millis(9));
+    let run = |batched: bool, threads: usize, frames: bool| {
         let config = StreamConfig {
             threads,
             ..StreamConfig::default()
         };
-        let mut kernel = StreamRuntime::with_config(&service, config.clone());
-        let kernel_reports = kernel
-            .run(MemorySource::new(stream.clone()))
-            .expect("in-memory source cannot fail");
-        let mut scalar = StreamRuntime::with_config(ScalarPathService(&service), config.clone());
-        let scalar_reports = scalar
-            .run(MemorySource::new(stream.clone()))
-            .expect("in-memory source cannot fail");
-        assert_eq!(
-            kernel_reports, scalar_reports,
-            "kernel path diverged from the per-item scalar path at {threads} threads"
-        );
-        assert_eq!(
-            kernel.stats(),
-            scalar.stats(),
-            "stats diverged between kernel and scalar paths at {threads} threads"
-        );
-
-        let mut kernel_frames = StreamRuntime::with_config(&service, config.clone());
-        let kernel_frame_reports = kernel_frames
-            .run_frames(MemoryFrameSource::from_packets(&stream))
-            .expect("in-memory source cannot fail");
-        let mut scalar_frames = StreamRuntime::with_config(ScalarPathService(&service), config);
-        let scalar_frame_reports = scalar_frames
-            .run_frames(MemoryFrameSource::from_packets(&stream))
-            .expect("in-memory source cannot fail");
-        assert_eq!(
-            kernel_frame_reports, scalar_frame_reports,
-            "frame-path kernels diverged from scalar at {threads} threads"
-        );
-        assert_eq!(
-            kernel_frame_reports, kernel_reports,
-            "frame path diverged from packet path at {threads} threads"
-        );
-
-        match &baseline {
-            None => baseline = Some(kernel_reports),
-            Some(reports) => assert_eq!(
-                &kernel_reports, reports,
-                "reports diverged at {threads} threads"
-            ),
+        let service: &(dyn SecurityService + Sync) = if batched {
+            &service
+        } else {
+            &ScalarPathService(&service)
+        };
+        let mut runtime = StreamRuntime::with_config(service, config);
+        let reports = if frames {
+            runtime.run_frames(MemoryFrameSource::from_packets(&stream))
+        } else {
+            runtime.run(MemorySource::new(stream.clone()))
+        }
+        .expect("in-memory source cannot fail");
+        (reports, runtime.stats().clone())
+    };
+    let baseline = run(true, 1, false);
+    for threads in [1usize, 2, 4, 8] {
+        for frames in [false, true] {
+            let batched = run(true, threads, frames);
+            assert_eq!(
+                run(false, threads, frames),
+                batched,
+                "per-item default diverged at {threads} threads (frames: {frames})"
+            );
+            assert_eq!(
+                batched, baseline,
+                "diverged at {threads} threads (frames: {frames})"
+            );
         }
     }
 }
@@ -505,8 +479,10 @@ proptest! {
                 (full, fixed, *key)
             })
             .collect();
-        let mut responses = fixture.service.assess_keyed_batch(&items[..split]);
-        responses.extend(fixture.service.assess_keyed_batch(&items[split..]));
+        let mut scratch = AssessScratch::default();
+        let mut responses = Vec::new();
+        fixture.service.assess_keyed_batch_into(&items[..split], &mut scratch, &mut responses);
+        fixture.service.assess_keyed_batch_into(&items[split..], &mut scratch, &mut responses);
         for (&i, response) in order.iter().zip(&responses) {
             prop_assert_eq!(
                 response,

@@ -3,7 +3,7 @@
 //! the exact sequential path, for every worker count.
 
 use sentinel_bench::evaluation::{evaluate, EvalConfig};
-use sentinel_core::{FingerprintDataset, Identifier, IdentifierConfig, Outcome};
+use sentinel_core::{AssessKey, FingerprintDataset, Identifier, IdentifierConfig, Outcome};
 use sentinel_devicesim::{catalog, Testbed};
 use sentinel_fingerprint::{extract, FixedFingerprint};
 
@@ -30,7 +30,7 @@ fn identification_is_identical_for_every_thread_count() {
             let trace = holdout.setup_run(&device.profile, run);
             let full = extract(&trace.packets);
             let fixed = FixedFingerprint::from_fingerprint(&full);
-            (full, fixed)
+            (full, fixed, AssessKey::new(run, trace.mac))
         })
         .collect();
 
@@ -38,8 +38,8 @@ fn identification_is_identical_for_every_thread_count() {
         let identifier = Identifier::train(&dataset, &identifier_config(1));
         probes
             .iter()
-            .map(|(full, fixed)| {
-                let id = identifier.identify(full, fixed);
+            .map(|(full, fixed, key)| {
+                let id = identifier.identify_keyed(full, fixed, *key);
                 (id.outcome, id.candidates.clone(), id.discriminated)
             })
             .collect()
@@ -47,8 +47,8 @@ fn identification_is_identical_for_every_thread_count() {
 
     for threads in [2, 8] {
         let identifier = Identifier::train(&dataset, &identifier_config(threads));
-        for (i, (full, fixed)) in probes.iter().enumerate() {
-            let id = identifier.identify(full, fixed);
+        for (i, (full, fixed, key)) in probes.iter().enumerate() {
+            let id = identifier.identify_keyed(full, fixed, *key);
             let (outcome, candidates, discriminated) = &baseline[i];
             assert_eq!(
                 &id.outcome, outcome,
